@@ -804,7 +804,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.campaign_command == "status":
         status = campaign_status(args.campaign_dir)
         if args.json:
-            print(json.dumps(status, indent=2, sort_keys=True))
+            print(json.dumps(status, indent=2, sort_keys=True, allow_nan=False))
             return 0
         counts = status["counts"]
         flags = []

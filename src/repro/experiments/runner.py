@@ -95,13 +95,14 @@ _OBS = _obs_recorder()
 #: Simulation engines selectable per campaign.  The concrete kernels are
 #: pinned bit-identical to the frozen reference engine
 #: (tests/test_engine_equivalence.py and tests/test_engine_differential.py),
-#: so the choice only affects speed: "batched" (the columnar numpy kernel)
-#: wins on wide scenarios and is the default; "heap" (the indexed event
-#: queue) wins on very small ones and serves as the fallback for custom
-#: scheduler objects; "auto" picks per scenario by application count (heap
-#: below :data:`AUTO_DISPATCH_MIN_APPS`, batched at or above).
+#: so the choice only affects speed.  "auto", the default, picks per
+#: scenario by application count: "heap" (the indexed event queue, also the
+#: fallback for custom scheduler objects) below
+#: :data:`AUTO_DISPATCH_MIN_APPS`, "batched" (the columnar numpy kernel) at
+#: or above.  The concrete selectors stay as explicit overrides for tests
+#: and benchmarks.
 ENGINES = ("heap", "batched", "auto")
-DEFAULT_ENGINE = "batched"
+DEFAULT_ENGINE = "auto"
 
 #: Width threshold of the "auto" engine: below this many applications the
 #: per-breakpoint numpy call overhead of the batched kernel exceeds its

@@ -51,7 +51,7 @@ class JsonLogger:
             "elapsed_seconds": round(self._recorder.elapsed_seconds(), 6),
         }
         line.update(fields)
-        text = json.dumps(line, sort_keys=True) + "\n"
+        text = json.dumps(line, sort_keys=True, allow_nan=False) + "\n"
         with self._lock:
             if self._stream is not None:
                 self._stream.write(text)
@@ -100,7 +100,7 @@ class ProgressWebhook:
         if self._recorder is not None:
             body["elapsed_seconds"] = round(self._recorder.elapsed_seconds(), 6)
         body.update(fields)
-        text = json.dumps(body, sort_keys=True)
+        text = json.dumps(body, sort_keys=True, allow_nan=False)
         try:
             if self.is_http:
                 self._post(text)

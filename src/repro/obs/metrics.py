@@ -44,7 +44,7 @@ class MetricsWriter:
             }
             line.update(snap)
             with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(line, sort_keys=True) + "\n")
+                handle.write(json.dumps(line, sort_keys=True, allow_nan=False) + "\n")
             self._seq += 1
 
 

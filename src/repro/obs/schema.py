@@ -6,7 +6,10 @@ by :mod:`repro.obs.trace`, the ``repro-metrics/1`` JSONL lines written by
 from :mod:`repro.obs.log`.  The validator implements the small JSON
 Schema subset the schemas use (``type``, ``required``, ``properties``,
 ``items``, ``enum``, ``minimum``) so CI can gate the files without a
-``jsonschema`` dependency:
+``jsonschema`` dependency.  Parsing is strict RFC 8259: the ``NaN`` and
+``Infinity`` constants Python's ``json`` accepts by default are rejected,
+because JavaScript's ``JSON.parse`` and Go's ``encoding/json`` reject them
+too (the +Inf histogram bucket is written as the string ``"+Inf"``):
 
     python -m repro.obs.schema trace out/trace.json
     python -m repro.obs.schema metrics out/metrics.jsonl
@@ -24,6 +27,7 @@ __all__ = [
     "TRACE_DOCUMENT_SCHEMA",
     "METRICS_LINE_SCHEMA",
     "WEBHOOK_EVENT_SCHEMA",
+    "loads_strict",
     "validate",
     "validate_trace_file",
     "validate_metrics_file",
@@ -98,7 +102,7 @@ METRICS_LINE_SCHEMA: Schema = {
                             "type": "object",
                             "required": ["le", "count"],
                             "properties": {
-                                "le": {"type": "number"},
+                                "le": {"type": ["number", "string"]},
                                 "count": {"type": "integer", "minimum": 0},
                             },
                         },
@@ -130,18 +134,31 @@ _TYPES: Dict[str, Union[type, tuple[type, ...]]] = {
 }
 
 
+def _reject_constant(name: str) -> object:
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def loads_strict(text: str) -> object:
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def _type_matches(value: object, expected: str) -> bool:
+    if isinstance(value, bool) and expected in ("integer", "number"):
+        return False
+    return isinstance(value, _TYPES[expected])
+
+
 def validate(value: object, schema: Schema, path: str = "$") -> List[str]:
     """Validate ``value`` against the schema subset; returns error strings."""
     errors: List[str] = []
     expected = schema.get("type")
-    if isinstance(expected, str):
-        python_type = _TYPES[expected]
-        if isinstance(value, bool) and expected in ("integer", "number"):
-            errors.append(f"{path}: expected {expected}, got bool")
-            return errors
-        if not isinstance(value, python_type):
+    if isinstance(expected, (str, list)):
+        names = [expected] if isinstance(expected, str) else expected
+        if not any(_type_matches(value, name) for name in names):
             errors.append(
-                f"{path}: expected {expected}, got {type(value).__name__}"
+                f"{path}: expected {' or '.join(names)}, "
+                f"got {type(value).__name__}"
             )
             return errors
     enum = schema.get("enum")
@@ -173,8 +190,8 @@ def validate(value: object, schema: Schema, path: str = "$") -> List[str]:
 def validate_trace_file(path: Union[str, Path]) -> List[str]:
     """Validate one Chrome trace JSON document."""
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        document = loads_strict(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         return [f"{path}: unreadable trace document: {exc}"]
     return validate(document, TRACE_DOCUMENT_SCHEMA)
 
@@ -190,8 +207,8 @@ def _validate_jsonl(path: Union[str, Path], schema: Schema) -> List[str]:
         return [f"{path}: no snapshot lines"]
     for i, line in enumerate(lines):
         try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
+            value = loads_strict(line)
+        except ValueError as exc:
             errors.append(f"{path}:{i + 1}: invalid JSON: {exc}")
             continue
         errors.extend(

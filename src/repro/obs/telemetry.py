@@ -18,6 +18,7 @@ wall-clock value can leak into anything derived from telemetry.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -231,8 +232,11 @@ class MetricsRegistry:
                     "labels": dict(h.labels),
                     "count": h.count,
                     "sum": h.sum,
+                    # The last bucket's bound is +inf, written as the
+                    # string "+Inf" (the Prometheus convention) so the
+                    # snapshot stays strict JSON.
                     "buckets": [
-                        {"le": le, "count": n}
+                        {"le": "+Inf" if le == math.inf else le, "count": n}
                         for le, n in h.cumulative_buckets()
                     ],
                 }

@@ -91,7 +91,9 @@ def write_trace(
     target.parent.mkdir(parents=True, exist_ok=True)
     document = trace_document(recorder, process_name=process_name)
     target.write_text(
-        json.dumps(document, sort_keys=True, indent=None, separators=(",", ":"))
+        json.dumps(
+            document, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
         + "\n",
         encoding="utf-8",
     )

@@ -34,12 +34,11 @@ O(k log n) in the number of applications actually transitioning:
   checked;
 * the I/O-candidate set and the done-counter are maintained incrementally by
   the transition handlers;
-* scheduler views use the cached prefix sums of
+* scheduler views are built for the I/O candidates only (the full
+  ``SystemView.applications`` tuple is materialized lazily, for custom
+  schedulers that ask for it), and use the cached prefix sums of
   :attr:`repro.core.application.Application.cumulative_work`, making the
-  congestion-free efficiency an O(1) lookup, and each runtime memoizes its
-  last :class:`~repro.simulator.interface.ApplicationView`, rebuilding it
-  only when its state (or its time-dependent achieved efficiency) actually
-  changed since the last allocation.
+  congestion-free efficiency an O(1) lookup.
 
 The optimization is pure bookkeeping: the event timeline, every float handed
 to the scheduler and every result record are bit-for-bit identical to the
@@ -171,10 +170,8 @@ class _Runtime:
     Beyond the simulation state proper, each runtime carries the fast-path
     bookkeeping: its insertion index (the deterministic ordering key every
     candidate list and transition sweep uses), the compute epoch that
-    invalidates stale heap entries, and the memoized scheduler view with its
-    epoch (``view_epoch`` is bumped by every mutation that can change the
-    view, so an unchanged epoch plus an unchanged achieved efficiency means
-    the cached view is still exact).
+    invalidates stale heap entries, and the memoized congestion-free
+    efficiency of its current instance.
     """
 
     app: Application
@@ -202,11 +199,8 @@ class _Runtime:
     recovery_io: float = 0.0
     # Fast-path bookkeeping.
     compute_epoch: int = 0
-    view_epoch: int = 0
     opt_instance_idx: int = -1
     opt_value: float = 1.0
-    cached_view: Optional[ApplicationView] = None
-    cached_view_epoch: int = -1
 
     @property
     def done(self) -> bool:
@@ -307,8 +301,6 @@ class Simulator:
         time = min(app.release_time for app in self.scenario)
         n_events = 0
         self._n_allocations = 0
-        self._view_hits = 0
-        self._view_rebuilds = 0
         time_bb_full = 0.0
         n_total = len(runtimes)
         io_active: list[_Runtime] = []
@@ -349,7 +341,7 @@ class Simulator:
                     bb_ingest_rates[rt.app.name] = alloc.gamma(rt.app.name) * rt.app.processors
                 allocation = alloc
             elif candidates:
-                view = self._system_view(runtimes, time, available)
+                view = self._system_view(time, available)
                 self._n_allocations += 1
                 allocation = scheduler.allocate(view)
                 if not isinstance(allocation, BandwidthAllocation):
@@ -381,12 +373,8 @@ class Simulator:
                             rt.io_first_transfer = time
                         rt.io_started = True
                         rt.phase = ApplicationPhase.DOING_IO
-                        # The advance loop below bumps the view epoch for
-                        # every active transfer, covering these mutations.
                         io_active.append(rt)
                     else:
-                        if rt.phase is not ApplicationPhase.IO_PENDING:
-                            rt.view_epoch += 1
                         rt.phase = ApplicationPhase.IO_PENDING
             else:
                 # Fast path: only touch the applications whose assignment
@@ -402,7 +390,6 @@ class Simulator:
                         and rt.app.name not in served
                     ):
                         rt.current_rate = 0.0
-                        rt.view_epoch += 1
                         rt.phase = ApplicationPhase.IO_PENDING
                 for name, gamma in served.items():
                     rt = runtimes[name]
@@ -458,7 +445,6 @@ class Simulator:
                 rt.total_io_transferred += moved
                 if rt.recovering:
                     rt.recovery_io += moved
-                rt.view_epoch += 1
             if bb is not None:
                 if not bb.can_absorb():
                     time_bb_full += dt
@@ -504,14 +490,6 @@ class Simulator:
             _OBS.count(
                 "repro_engine_allocations_total",
                 float(self._n_allocations), engine="heap",
-            )
-            _OBS.count(
-                "repro_engine_view_cache_hits_total",
-                float(self._view_hits), engine="heap",
-            )
-            _OBS.count(
-                "repro_engine_view_cache_rebuilds_total",
-                float(self._view_rebuilds), engine="heap",
             )
             _OBS.count(
                 "repro_engine_events_total", float(n_events), engine="heap"
@@ -593,7 +571,6 @@ class Simulator:
             and rt.compute_end <= time + _TIME_EPS
         ):
             rt.executed_work += rt.current_instance().work
-            rt.view_epoch += 1
             self._request_io(rt, time, log)
         if rt.wants_io and rt.remaining_io <= _VOLUME_EPS:
             if rt.recovering:
@@ -634,7 +611,6 @@ class Simulator:
         rt.io_first_transfer = None
         rt.io_request_time = time
         rt.current_rate = 0.0
-        rt.view_epoch += 1
         return True
 
     def _finish_recovery(self, rt: _Runtime, time: float, log: EventLog | None) -> None:
@@ -645,7 +621,6 @@ class Simulator:
         rt.io_started = False
         rt.io_first_transfer = None
         rt.io_request_time = None
-        rt.view_epoch += 1
         candidates = self._candidates
         i = bisect_left(candidates, rt.index, key=_by_index)
         if i < len(candidates) and candidates[i] is rt:
@@ -660,7 +635,6 @@ class Simulator:
         rt.compute_end = time + inst.work
         rt.current_rate = 0.0
         rt.compute_epoch += 1
-        rt.view_epoch += 1
         if inst.work <= _TIME_EPS:
             rt.executed_work += inst.work
             self._request_io(rt, time, log)
@@ -670,7 +644,6 @@ class Simulator:
     def _request_io(self, rt: _Runtime, time: float, log: EventLog | None) -> None:
         inst = rt.current_instance()
         rt.compute_end = min(rt.compute_end, time)
-        rt.view_epoch += 1
         if inst.io_volume <= _VOLUME_EPS:
             # Instance without I/O: it is complete as soon as computation ends.
             rt.remaining_io = 0.0
@@ -711,7 +684,6 @@ class Simulator:
         rt.io_first_transfer = None
         rt.io_request_time = None
         rt.instance_idx += 1
-        rt.view_epoch += 1
         # Remove from the sorted candidate list (a no-op when the instance
         # completed without ever becoming a candidate, e.g. zero I/O volume).
         candidates = self._candidates
@@ -800,32 +772,12 @@ class Simulator:
             achieved = rt.executed_work / elapsed
         else:
             achieved = optimal
-        # Reuse the memoized view when nothing observable changed: the epoch
-        # guards every state field, and the achieved efficiency (the one
-        # quantity that drifts with time alone) is compared explicitly — it
-        # is constant for unreleased applications and for applications that
-        # have not finished a compute chunk yet.  When ONLY the achieved
-        # efficiency moved (an idle candidate or a computing application
-        # aging between events — the majority of rebuilds), clone the cached
-        # view with a C-level dict copy instead of re-assembling all twelve
-        # fields.
-        cached = rt.cached_view
-        if cached is not None and rt.cached_view_epoch == rt.view_epoch:
-            self._view_hits += 1
-            if cached.achieved_efficiency == achieved:
-                return cached
-            fields = dict(cached.__dict__)
-            fields["achieved_efficiency"] = achieved
-            view = ApplicationView._build_fast(fields)
-            rt.cached_view = view
-            return view
-        self._view_rebuilds += 1
         phase = rt.phase
         wants = (
             phase is ApplicationPhase.IO_PENDING
             or phase is ApplicationPhase.DOING_IO
         )
-        view = ApplicationView._build_fast(
+        return ApplicationView._build_fast(
             {
                 "name": app.name,
                 "processors": app.processors,
@@ -841,25 +793,30 @@ class Simulator:
                 "total_io_transferred": rt.total_io_transferred,
             }
         )
-        rt.cached_view = view
-        rt.cached_view_epoch = rt.view_epoch
-        return view
 
-    def _system_view(
-        self, runtimes: dict[str, _Runtime], time: float, available: float
-    ) -> SystemView:
+    def _system_view(self, time: float, available: float) -> SystemView:
+        """The scheduler's view: candidate views now, the rest on demand.
+
+        In-tree policies read only the I/O candidates, so only those get an
+        :class:`ApplicationView` per allocation.  The full
+        ``applications`` tuple (every live application, in scenario order,
+        reusing the candidate views) is built only if a custom scheduler
+        asks for it during ``allocate()``.
+        """
         view_of = self._view_of
-        done = ApplicationPhase.DONE
-        views = tuple(
-            [view_of(rt, time) for rt in runtimes.values() if rt.phase is not done]
-        )
-        return SystemView._build_fast(
-            {
-                "time": time,
-                "platform": self.platform,
-                "available_bandwidth": available,
-                "applications": views,
-            }
+        candidates = tuple([view_of(rt, time) for rt in self._candidates])
+
+        def materialize() -> tuple[ApplicationView, ...]:
+            own = {view.name: view for view in candidates}
+            done = ApplicationPhase.DONE
+            return tuple(
+                own.get(name) or view_of(rt, time)
+                for name, rt in self._runtimes.items()
+                if rt.phase is not done
+            )
+
+        return SystemView(
+            time, self.platform, available, materialize, candidates=candidates
         )
 
     def _finalize_truncated(self, runtimes: dict[str, _Runtime], time: float) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Optional, Protocol, Union, runtime_checkable
 
 from repro.core.allocation import BandwidthAllocation
 from repro.core.platform import Platform
@@ -96,14 +96,14 @@ class ApplicationView:
     def _build_fast(cls, fields: dict[str, Any]) -> "ApplicationView":
         """Engine-internal constructor bypassing the frozen-dataclass ``__init__``.
 
-        A simulation builds one view per live application per event — millions
-        over a large run — and the generated ``__init__`` pays one guarded
-        ``object.__setattr__`` per field.  Installing ``fields`` directly as
-        the instance ``__dict__`` is several times cheaper and produces an
-        object indistinguishable from a normally constructed one (same
-        fields, equality, hashing and repr).  ``fields`` must contain exactly
-        the dataclass fields; the view takes ownership of the dict — callers
-        must not mutate it afterwards.
+        A simulation builds one view per I/O candidate per allocation —
+        millions over a large run — and the generated ``__init__`` pays one
+        guarded ``object.__setattr__`` per field.  Installing ``fields``
+        directly as the instance ``__dict__`` is several times cheaper and
+        produces an object indistinguishable from a normally constructed one
+        (same fields, equality, hashing and repr).  ``fields`` must contain
+        exactly the dataclass fields; the view takes ownership of the dict —
+        callers must not mutate it afterwards.
         """
         view = object.__new__(cls)
         object.__setattr__(view, "__dict__", fields)
@@ -125,11 +125,8 @@ class ApplicationView:
         """``(request time or inf, name)`` — the shared deterministic tie-break.
 
         Every heuristic ordering ends with this pair; it is computed once
-        and cached on the view, which the engine's view reuse turns into a
-        per-*event* cost instead of a per-*sort* one.  The cache only
-        depends on ``io_request_time`` and ``name``, so the engine's
-        efficiency-only view clone (which copies the ``__dict__`` wholesale)
-        can safely carry it over.
+        and cached on the view, so schedulers that sort the candidates more
+        than once per event pay for it once.
         """
         key: Optional[tuple[float, str]] = self.__dict__.get("_order_key")
         if key is None:
@@ -139,7 +136,6 @@ class ApplicationView:
         return key
 
 
-@dataclass(frozen=True)
 class SystemView:
     """Snapshot of the whole system at one scheduling event.
 
@@ -154,46 +150,59 @@ class SystemView:
         Usually ``B``; smaller when a burst buffer is draining in the
         background.
     applications:
-        One :class:`ApplicationView` per application still in the system.
+        One :class:`ApplicationView` per application still in the system, in
+        scenario order.  The constructor also accepts a zero-argument
+        callable building that tuple, called once on first access; with
+        ``candidates`` (the I/O candidates, in scenario order) an engine can
+        hand over only the views in-tree policies read and defer the rest.
+
+    A view handed to a scheduler by an engine is valid during that
+    ``allocate()`` call only: a deferred ``applications`` tuple is built
+    from the engine state of the moment it is first read.
     """
 
-    time: float
-    platform: Platform
-    available_bandwidth: float
-    applications: tuple[ApplicationView, ...]
+    def __init__(
+        self,
+        time: float,
+        platform: Platform,
+        available_bandwidth: float,
+        applications: Union[
+            tuple[ApplicationView, ...], Callable[[], tuple[ApplicationView, ...]]
+        ],
+        *,
+        candidates: Optional[tuple[ApplicationView, ...]] = None,
+    ) -> None:
+        self.time = time
+        self.platform = platform
+        self.available_bandwidth = available_bandwidth
+        self._applications = applications
+        self._io_candidates = candidates
+        self._candidate_names: Optional[frozenset[str]] = None
 
-    @classmethod
-    def _build_fast(cls, fields: dict[str, Any]) -> "SystemView":
-        """Engine-internal constructor bypassing the frozen-dataclass ``__init__``.
-
-        One view is built per scheduling event; installing ``fields`` as the
-        instance ``__dict__`` skips the four guarded ``object.__setattr__``
-        calls (same trick as :meth:`ApplicationView._build_fast`).  ``fields``
-        must contain exactly the dataclass fields; the view takes ownership.
-        """
-        view = object.__new__(cls)
-        object.__setattr__(view, "__dict__", fields)
-        return view
+    @property
+    def applications(self) -> tuple[ApplicationView, ...]:
+        """Every application still in the system."""
+        apps = self._applications
+        if callable(apps):
+            apps = self._applications = apps()
+        return apps
 
     def io_candidates(self) -> tuple[ApplicationView, ...]:
         """Applications that want to perform I/O right now.
 
         Memoized: schedulers typically ask several times per event (ordering,
-        feasibility checking, allocation), and the view is immutable, so the
-        filtered tuple is computed once and cached on the instance.
+        feasibility checking, allocation), so the filtered tuple is computed
+        once and cached on the instance.
         """
-        cached: Optional[tuple[ApplicationView, ...]] = self.__dict__.get(
-            "_io_candidates"
-        )
+        cached = self._io_candidates
         if cached is None:
             pending = ApplicationPhase.IO_PENDING
             doing = ApplicationPhase.DOING_IO
-            cached = tuple(
+            cached = self._io_candidates = tuple(
                 a
                 for a in self.applications
                 if a.phase is pending or a.phase is doing
             )
-            self.__dict__["_io_candidates"] = cached
         return cached
 
     def candidate_names(self) -> frozenset[str]:
@@ -202,10 +211,11 @@ class SystemView:
         Schedulers use it to cheaply sanity-check an ordering against the
         candidate set without rebuilding a throwaway set per allocation.
         """
-        cached: Optional[frozenset[str]] = self.__dict__.get("_candidate_names")
+        cached = self._candidate_names
         if cached is None:
-            cached = frozenset(a.name for a in self.io_candidates())
-            self.__dict__["_candidate_names"] = cached
+            cached = self._candidate_names = frozenset(
+                a.name for a in self.io_candidates()
+            )
         return cached
 
     def view(self, name: str) -> ApplicationView:

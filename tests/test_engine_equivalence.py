@@ -1,17 +1,19 @@
 """Optimized engine vs seed engine: the timelines must be identical.
 
 The fast engine (:mod:`repro.simulator.engine`) replaces the seed engine's
-per-event full scans with an event heap, cached prefix sums and memoized
-views.  Those are pure bookkeeping changes — every float handed to the
-scheduler and every event time must come out bit-for-bit the same — so these
-tests run randomized scenarios through both engines and require identical
-makespans, per-application completion times and event counts (the ISSUE's
-tolerance of 1e-9 is the allowance; in practice the engines agree exactly).
+per-event full scans with an event heap, cached prefix sums and scheduler
+views built for the I/O candidates only.  Those are pure bookkeeping changes
+— every float handed to the scheduler and every event time must come out
+bit-for-bit the same — so these tests run randomized scenarios through every
+engine and require identical makespans, per-application completion times,
+event counts and record sets (the tolerance of 1e-9 documents the
+acceptance bound; in practice the engines agree exactly).
 
 The scenario matrix crosses: randomized mixes (several seeds), all four
-paper heuristics plus Priority variants and the fair-share baseline, with
-and without burst buffers, plus the awkward shapes (zero-work instances,
-zero-I/O instances, staggered releases, ``max_time`` truncation).
+paper heuristics plus Priority variants, the fair-share baseline and a
+custom scheduler that reads the whole view, with and without burst buffers,
+plus the awkward shapes (zero-work instances, zero-I/O instances, staggered
+releases, ``max_time`` truncation).
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.allocation import BandwidthAllocation
 from repro.core.application import Application
 from repro.core.platform import BurstBufferSpec, Platform
 from repro.core.scenario import Scenario
+from repro.experiments.runner import engine_runner
 from repro.faults import BandwidthWindow, CrashEvent, FaultModel
 from repro.online.registry import make_scheduler
+from repro.simulator.bandwidth import favor_in_order
 from repro.simulator.batched import batched_simulate
 from repro.simulator.engine import SimulatorConfig, simulate
+from repro.simulator.interface import SystemView
 from repro.simulator.reference import reference_simulate
 
 #: Makespans / completion times must agree to this tolerance (they are
@@ -33,8 +39,39 @@ from repro.simulator.reference import reference_simulate
 #: acceptance bound).
 TOL = 1e-9
 
-#: The four paper heuristics, two Priority variants, and the fair-share
-#: baseline with interference.
+
+
+class WholeSystem:
+    """A custom scheduler (not an ``OnlineScheduler``) reading the whole view.
+
+    It serves first the I/O candidates whose achieved efficiency is closest
+    to the mean over *every* live application, computing ones included, and
+    hands out only the live applications' I/O share of the bandwidth.  Each
+    candidate is looked up by name through ``view.view``.  Its decisions
+    therefore depend on views of applications that are not I/O candidates,
+    which an engine may only build on demand.
+    """
+
+    name = "WholeSystem"
+
+    def allocate(self, view: SystemView) -> BandwidthAllocation:
+        apps = view.applications
+        mean = sum(a.achieved_efficiency for a in apps) / len(apps)
+        wanting = [a.name for a in apps if a.wants_io]
+
+        def key(name: str) -> tuple[float, str]:
+            return (abs(view.view(name).achieved_efficiency - mean), name)
+
+        ordered = [view.view(name) for name in sorted(wanting, key=key)]
+        share = view.available_bandwidth * len(wanting) / len(apps)
+        return favor_in_order(ordered, view.platform.node_bandwidth, share)
+
+    def reset(self) -> None:
+        pass
+
+
+#: The four paper heuristics, two Priority variants, the fair-share
+#: baseline with interference, and the custom whole-view scheduler.
 SCHEDULERS = (
     "RoundRobin",
     "MinDilation",
@@ -43,7 +80,13 @@ SCHEDULERS = (
     "Priority-RoundRobin",
     "Priority-MaxSysEff",
     "Intrepid",
+    WholeSystem.name,
 )
+
+
+def scheduler_for(name: str):
+    """A fresh scheduler: the custom one by its name, else from the registry."""
+    return WholeSystem() if name == WholeSystem.name else make_scheduler(name)
 
 
 def random_scenario(
@@ -81,18 +124,20 @@ def random_scenario(
 
 
 def assert_equivalent(scenario, scheduler_name, config=None):
-    """Run all three engines and compare everything the ISSUE requires.
+    """Run every engine and compare everything against the reference.
 
-    The heap engine ("fast") and the batched numpy engine are each checked
-    against the seed reference engine; the batched engine is additionally
-    held to *exact* equality of the full record set (it claims bit-identity,
-    not just tolerance-level agreement).
+    The heap engine ("fast"), the batched numpy engine and the
+    width-dispatching "auto" selector are each checked against the seed
+    reference engine, to tolerance field by field and then to *exact*
+    equality of the full record set (the engines claim bit-identity, not
+    just tolerance-level agreement).
     """
     config = config or SimulatorConfig()
-    seed_engine = reference_simulate(scenario, make_scheduler(scheduler_name), config)
-    fast = simulate(scenario, make_scheduler(scheduler_name), config)
-    batched = batched_simulate(scenario, make_scheduler(scheduler_name), config)
-    for result in (fast, batched):
+    seed_engine = reference_simulate(scenario, scheduler_for(scheduler_name), config)
+    fast = simulate(scenario, scheduler_for(scheduler_name), config)
+    batched = batched_simulate(scenario, scheduler_for(scheduler_name), config)
+    auto = engine_runner("auto")(scenario, scheduler_for(scheduler_name), config)
+    for result in (fast, batched, auto):
         assert result.n_events == seed_engine.n_events
         assert result.makespan == pytest.approx(seed_engine.makespan, abs=TOL)
         assert set(result.records) == set(seed_engine.records)
@@ -110,10 +155,11 @@ def assert_equivalent(scenario, scheduler_name, config=None):
         assert (result.fault_stats is None) == (seed_engine.fault_stats is None)
         if result.fault_stats is not None:
             assert result.fault_stats == seed_engine.fault_stats
-    # Bit-identity, not just tolerance: the batched engine's contract.
-    assert batched.records == seed_engine.records
-    assert batched.makespan == seed_engine.makespan
-    assert batched.burst_buffer == seed_engine.burst_buffer
+    # Bit-identity, not just tolerance: the contract of every engine.
+    for result in (fast, batched, auto):
+        assert result.records == seed_engine.records
+        assert result.makespan == seed_engine.makespan
+        assert result.burst_buffer == seed_engine.burst_buffer
     return fast, seed_engine
 
 
@@ -384,10 +430,9 @@ class TestAutoDispatch:
         # Explicit selectors pass through regardless of width.
         assert dispatch_engine("heap", 500) == "heap"
         assert dispatch_engine("batched", 1) == "batched"
-        # None resolves to the default engine, width-independently.
-        from repro.experiments.runner import DEFAULT_ENGINE
-
-        assert dispatch_engine(None, 1) == DEFAULT_ENGINE
+        # None resolves to the default engine, which dispatches by width.
+        assert dispatch_engine(None, 1) == "heap"
+        assert dispatch_engine(None, 500) == "batched"
 
     def test_unknown_engine_rejected(self):
         from repro.experiments.runner import dispatch_engine
@@ -432,3 +477,17 @@ class TestAutoDispatch:
         assert cell_key("auto") == cell_key(resolved)
         other = "heap" if resolved == "batched" else "batched"
         assert cell_key("auto") != cell_key(other)
+
+    def test_default_engine_narrow_cell_stored_under_heap_key(self, tmp_path):
+        """A default-engine narrow grid cell lands under the heap kernel's key."""
+        from repro.experiments.runner import SchedulerCase, grid_cell_keys, run_grid
+        from repro.store import ResultStore
+
+        scenario = random_scenario(13, n_apps=6)
+        cases = [SchedulerCase(name="MaxSysEff")]
+        store = ResultStore(root=tmp_path / "store")
+        run_grid([scenario], cases, store=store)
+        [[heap_key]] = grid_cell_keys([scenario], cases, engine="heap")
+        [[batched_key]] = grid_cell_keys([scenario], cases, engine="batched")
+        assert heap_key in store
+        assert batched_key not in store

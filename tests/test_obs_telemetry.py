@@ -16,6 +16,7 @@ import pytest
 from repro.obs.log import WEBHOOK_SCHEMA, JsonLogger, ProgressWebhook
 from repro.obs.metrics import MetricsWriter, prometheus_text, write_prometheus
 from repro.obs.schema import (
+    loads_strict,
     validate_metrics_file,
     validate_trace_file,
     validate_webhook_file,
@@ -250,6 +251,22 @@ class TestMetricsWriter:
         assert lines[1]["counters"][0]["value"] == 2.0
         assert validate_metrics_file(tmp_path / "metrics.jsonl") == []
 
+    def test_histogram_snapshot_is_strict_json(self, rec, tmp_path):
+        """The +Inf bucket is written as "+Inf": every line parses strictly."""
+        rec.observe("h", 0.2)
+        rec.observe("h", 1e9)
+        writer = MetricsWriter(tmp_path / "metrics.jsonl")
+        writer.write_snapshot(rec, reason="stage:run")
+        writer.write_snapshot(rec, reason="final")
+        text = (tmp_path / "metrics.jsonl").read_text()
+        assert "Infinity" not in text
+        lines = [loads_strict(line) for line in text.splitlines()]
+        assert len(lines) == 2
+        for line in lines:
+            (histogram,) = line["histograms"]
+            assert histogram["buckets"][-1] == {"le": "+Inf", "count": 2}
+        assert validate_metrics_file(tmp_path / "metrics.jsonl") == []
+
     def test_writer_truncates_previous_run(self, rec, tmp_path):
         path = tmp_path / "metrics.jsonl"
         path.write_text("stale garbage\n")
@@ -341,6 +358,15 @@ class TestSchemaValidator:
         bad = tmp_path / "trace.json"
         bad.write_text("{not json")
         assert validate_trace_file(bad)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_standard_constants(self, tmp_path, constant):
+        with pytest.raises(ValueError):
+            loads_strict(f'{{"x": {constant}}}')
+        bad = tmp_path / "metrics.jsonl"
+        bad.write_text(f'{{"schema": "repro-metrics/1", "seq": {constant}}}\n')
+        (error,) = validate_metrics_file(bad)
+        assert "invalid JSON" in error and constant in error
 
     def test_empty_jsonl_is_an_error(self, tmp_path):
         empty = tmp_path / "metrics.jsonl"
