@@ -269,7 +269,6 @@ class Recorder:
         self._stack = _SpanStack()
         self._profiler: Optional[StageProfilerLike] = None
         self._stage_hook: Optional[Callable[[str], None]] = None
-        self._log_hook: Optional[Callable[[str, Dict[str, LabelValue]], None]] = None
 
     # -- lifecycle ----------------------------------------------------- #
     def enable(self) -> None:
@@ -290,7 +289,6 @@ class Recorder:
             self._spans_dropped = 0
             self._profiler = None
             self._stage_hook = None
-            self._log_hook = None
 
     def install_profiler(self, profiler: Optional[StageProfilerLike]) -> None:
         self._profiler = profiler
@@ -298,12 +296,6 @@ class Recorder:
     def install_stage_hook(self, hook: Optional[Callable[[str], None]]) -> None:
         """``hook(stage_name)`` fires after each closed stage (metrics sinks)."""
         self._stage_hook = hook
-
-    def install_log_hook(
-        self, hook: Optional[Callable[[str, Dict[str, LabelValue]], None]]
-    ) -> None:
-        """``hook(event, fields)`` receives every :meth:`event` call."""
-        self._log_hook = hook
 
     # -- timebase ------------------------------------------------------ #
     def elapsed_seconds(self) -> float:
@@ -331,14 +323,6 @@ class Recorder:
         if not self.enabled:
             return
         self.registry.histogram(name, **labels).observe(value)
-
-    def event(self, event: str, **fields: LabelValue) -> None:
-        """Emit a structured log event (no-op without an installed sink)."""
-        if not self.enabled:
-            return
-        hook = self._log_hook
-        if hook is not None:
-            hook(event, dict(fields))
 
     # -- spans --------------------------------------------------------- #
     def span(

@@ -11,8 +11,9 @@ heuristics plus the period sweep that wraps them:
 * :class:`~repro.periodic.heuristics.InsertInScheduleThrou` /
   :class:`~repro.periodic.heuristics.InsertInScheduleCong` — the
   SysEfficiency- and Dilation-oriented fillers;
-* :func:`~repro.periodic.period_search.search_period` — the ``(1 + eps)``
-  sweep over period lengths.
+* :func:`~repro.periodic.period_search.search_period` — the paper's naive
+  ``(1 + eps)`` sweep over period lengths, rebuilding the schedule at every
+  point.
 """
 
 from repro.periodic.heuristics import (

@@ -226,7 +226,7 @@ class PeriodicSchedule:
         # Back-end capacity over the I/O window.
         if instance.io_duration > _EPS:
             rate = instance.io_bandwidth * app.processors
-            for start, end, used in self._profile_segments(exclude=None):
+            for start, end, used in self._profile_segments():
                 overlap = min(end, instance.io_end) - max(start, instance.io_start)
                 if overlap > _EPS and used + rate > self.platform.system_bandwidth * (1 + 1e-9):
                     raise ValidationError(
@@ -252,30 +252,6 @@ class PeriodicSchedule:
         self._segments_cache = None
         if self._io_load_cache:
             self._io_load_cache = {}
-
-    def with_period(self, period: float) -> "PeriodicSchedule":
-        """Copy of this schedule with the same placements under a new period.
-
-        The placements are shared, not re-derived — the caller asserts they
-        remain feasible (any ``period`` no smaller than the latest instance
-        end works, since a longer period only adds empty room at the end).
-        The warm-started period sweep uses this to materialize a sweep point
-        whose greedy build provably matches an earlier one.
-        """
-        clone = PeriodicSchedule(self.platform, self.applications, period)
-        for inst in self._instances:
-            if inst.end > period + _EPS:
-                raise ValidationError(
-                    f"instance of {inst.app_name!r} ends at {inst.end:.6g}, "
-                    f"beyond the new period {period:.6g}"
-                )
-        clone._instances = list(self._instances)
-        clone._by_app = {name: list(insts) for name, insts in self._by_app.items()}
-        clone._counts = dict(self._counts)
-        clone._io_starts = list(self._io_starts)
-        clone._io_ends = list(self._io_ends)
-        clone._io_rates = list(self._io_rates)
-        return clone
 
     # ------------------------------------------------------------------ #
     # Bandwidth profile
@@ -332,56 +308,35 @@ class PeriodicSchedule:
                 minimum = value
         return minimum
 
-    def _profile_segments(self, exclude: Optional[ScheduledInstance]):
-        """Yield ``(start, end, load)`` segments of the current I/O profile."""
-        if exclude is None:
-            # Every caller in the repository passes exclude=None, so the full
-            # profile is cached between mutations and computed by a sweep
-            # over the transfer arrays instead of an all-instances scan per
-            # segment.  Segment mids are sorted, so the instances covering a
-            # segment are exactly those whose [io_start - eps, io_end - eps)
-            # window contains its mid — located with two bisects; summing
-            # instance contributions in insertion order per segment keeps
-            # the float accumulation identical to the direct scan.
-            cached = self._segments_cache
-            if cached is None:
-                points = self._breakpoints()
-                bounds = [
-                    (s, e)
-                    for s, e in zip(points[:-1], points[1:])
-                    if e - s > _EPS
-                ]
-                mids = [0.5 * (s + e) for s, e in bounds]
-                loads = [0.0] * len(mids)
-                starts = self._io_starts
-                ends = self._io_ends
-                rates = self._io_rates
-                for i in range(len(starts)):
-                    lo = bisect_left(mids, starts[i] - _EPS)
-                    hi = bisect_left(mids, ends[i] - _EPS)
-                    rate = rates[i]
-                    for j in range(lo, hi):
-                        loads[j] += rate
-                cached = [
-                    (s, e, load) for (s, e), load in zip(bounds, loads)
-                ]
-                self._segments_cache = cached
-            return iter(cached)
-        return self._compute_segments(exclude)
+    def _profile_segments(self):
+        """Iterate ``(start, end, load)`` segments of the current I/O profile.
 
-    def _compute_segments(self, exclude: Optional[ScheduledInstance]):
-        points = self.breakpoints()
-        for start, end in zip(points[:-1], points[1:]):
-            if end - start <= _EPS:
-                continue
-            mid = 0.5 * (start + end)
-            load = 0.0
-            for inst in self._instances:
-                if inst is exclude:
-                    continue
-                if inst.io_start - _EPS <= mid < inst.io_end - _EPS:
-                    load += inst.io_bandwidth * self._apps[inst.app_name].processors
-            yield start, end, load
+        The profile is cached between mutations and computed by a sweep over
+        the transfer arrays.  Segment mids are sorted, so the instances
+        covering a segment are exactly those whose ``[io_start - eps,
+        io_end - eps)`` window contains its mid — located with two bisects;
+        instance contributions are summed in insertion order per segment.
+        """
+        cached = self._segments_cache
+        if cached is None:
+            points = self._breakpoints()
+            bounds = [
+                (s, e) for s, e in zip(points[:-1], points[1:]) if e - s > _EPS
+            ]
+            mids = [0.5 * (s + e) for s, e in bounds]
+            loads = [0.0] * len(mids)
+            starts = self._io_starts
+            ends = self._io_ends
+            rates = self._io_rates
+            for i in range(len(starts)):
+                lo = bisect_left(mids, starts[i] - _EPS)
+                hi = bisect_left(mids, ends[i] - _EPS)
+                rate = rates[i]
+                for j in range(lo, hi):
+                    loads[j] += rate
+            cached = [(s, e, load) for (s, e), load in zip(bounds, loads)]
+            self._segments_cache = cached
+        return iter(cached)
 
     # ------------------------------------------------------------------ #
     # Validation and scoring
@@ -401,7 +356,7 @@ class PeriodicSchedule:
             for first, second in zip(insts[:-1], insts[1:]):
                 if second.compute_start < first.end - _EPS:
                     raise ValidationError(f"{name!r}: overlapping instances")
-        for start, end, load in self._profile_segments(exclude=None):
+        for start, end, load in self._profile_segments():
             if load > self.platform.system_bandwidth * (1 + 1e-9):
                 raise ValidationError(
                     f"back-end capacity exceeded over [{start:.6g}, {end:.6g}): "

@@ -128,6 +128,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert "experiment.kind" in err and "nope" in err
 
+    def test_epsilon_that_cannot_advance_the_sweep_exits_2(self, tmp_path, capsys):
+        """1 + 1e-17 == 1.0: the (1+eps) sweep would never move past T_min."""
+        text = (REPO_ROOT / "examples" / "specs" / "periodic.toml").read_text()
+        assert "\nepsilon = 0.1\n" in text
+        bad = tmp_path / "periodic.toml"
+        bad.write_text(text.replace("\nepsilon = 0.1\n", "\nepsilon = 1e-17\n"))
+        for command in ("validate", "run"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "periodic.epsilon" in err and "Traceback" not in err
+
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "ghost.toml")]) == 2
         assert "not found" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.obs.log import WEBHOOK_SCHEMA, JsonLogger, ProgressWebhook
+from repro.obs.log import WEBHOOK_SCHEMA, ProgressWebhook
 from repro.obs.metrics import MetricsWriter, prometheus_text, write_prometheus
 from repro.obs.schema import (
     loads_strict,
@@ -148,12 +148,6 @@ class TestRecorder:
         assert closed == ["build"]
         (span,) = rec.span_snapshot()
         assert span.category == "stage" and span.args == {"kind": "grid"}
-
-    def test_event_routes_through_log_hook(self, rec):
-        events = []
-        rec.install_log_hook(lambda name, fields: events.append((name, fields)))
-        rec.event("cell-landed", cell=3)
-        assert events == [("cell-landed", {"cell": 3})]
 
     def test_reset_clears_everything_and_disables(self, rec):
         rec.count("c")
@@ -300,25 +294,11 @@ class TestPrometheus:
 
 
 # --------------------------------------------------------------------------- #
-# Structured log + webhook
+# Progress webhook
 # --------------------------------------------------------------------------- #
 
 
 class TestLogAndWebhook:
-    def test_json_logger_installs_as_event_sink(self, rec, tmp_path):
-        log_path = tmp_path / "events.jsonl"
-        JsonLogger(rec, path=log_path).install()
-        rec.event("campaign-start", n_cells=6)
-        (line,) = log_path.read_text().splitlines()
-        record = json.loads(line)
-        assert record["event"] == "campaign-start"
-        assert record["n_cells"] == 6
-        assert record["elapsed_seconds"] >= 0.0
-
-    def test_json_logger_requires_exactly_one_sink(self, rec, tmp_path):
-        with pytest.raises(ValueError):
-            JsonLogger(rec)
-
     def test_webhook_file_mode_appends_valid_events(self, rec, tmp_path):
         target = tmp_path / "progress.jsonl"
         hook = ProgressWebhook(str(target), recorder=rec)

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+from pathlib import Path
+
 import pytest
 
+from repro.config import parse_spec
+from repro.config.build import build_periodic_setup
+from repro.config.loader import load_spec_data
+from repro.config.spec import PERIODIC_HEURISTIC_TABLE
 from repro.core.application import Application
 from repro.core.platform import Platform
-from repro.periodic.heuristics import InsertInScheduleCong, InsertInScheduleThrou
+from repro.periodic.heuristics import (
+    InsertInScheduleCong,
+    InsertInScheduleThrou,
+    application_profiles,
+)
 from repro.periodic.insertion import GreedyInserter
-from repro.periodic.period_search import minimum_period, search_period
+from repro.periodic.period_search import _score, minimum_period, search_period
 from repro.periodic.schedule import PeriodicSchedule, ScheduledInstance
 from repro.utils.validation import ValidationError
 
@@ -18,6 +30,33 @@ PLATFORM = Platform("p", 100, 1e6, 2e7)
 def app(name="a", procs=10, work=100.0, vol=1e8, n=3):
     # 10 procs * 1 MB/s = 10 MB/s -> vol 1e8 takes 10 s dedicated.
     return Application.periodic(name, procs, work, vol, n)
+
+
+_PERIODIC_SPEC = (
+    Path(__file__).resolve().parent.parent / "examples" / "specs" / "periodic.toml"
+)
+
+
+def _periodic_spec_setup(*, mix_seed: int | None = None):
+    """Platform and applications of ``examples/specs/periodic.toml``.
+
+    With ``mix_seed`` the explicit ``[[periodic.apps]]`` tables are swapped
+    for a seeded small/large category mix on the same platform.
+    """
+    data = load_spec_data(_PERIODIC_SPEC)
+    if mix_seed is not None:
+        data["experiment"]["seed"] = mix_seed
+        del data["periodic"]["apps"]
+        data["periodic"].update(small=5, large=2)
+    spec = parse_spec(data)
+    return spec.body, build_periodic_setup(spec.body, spec.seed)
+
+
+def _placements(schedule) -> list[tuple]:
+    return sorted(
+        (i.app_name, i.compute_start, i.work, i.io_start, i.io_duration, i.io_bandwidth)
+        for i in schedule.instances
+    )
 
 
 class TestScheduledInstance:
@@ -219,6 +258,11 @@ class TestPeriodSearch:
         with pytest.raises(ValidationError):
             search_period(InsertInScheduleCong(), PLATFORM, [app()], epsilon=0.0)
 
+    def test_epsilon_too_small_to_advance_rejected(self):
+        # 1.0 + 1e-17 == 1.0, so T <- T * (1 + eps) would never move.
+        with pytest.raises(ValidationError, match="epsilon"):
+            search_period(InsertInScheduleCong(), PLATFORM, [app()], epsilon=1e-17)
+
     def test_max_period_smaller_than_min_rejected(self):
         with pytest.raises(ValidationError):
             search_period(
@@ -241,6 +285,15 @@ class TestPeriodSearch:
         assert not result.best_schedule.is_complete()
         assert result.best_point.period == result.best_period
 
+    def test_single_point_sweep(self):
+        _, (platform, apps) = _periodic_spec_setup()
+        t_min = minimum_period(platform, apps)
+        result = search_period(
+            InsertInScheduleThrou(), platform, apps, max_period=t_min
+        )
+        assert len(result.sweep) == 1
+        assert result.best_period == t_min
+
     def test_best_system_efficiency_not_worse_than_first_point(self):
         apps = [app("a", procs=30, work=100.0, vol=3e8, n=2),
                 app("b", procs=30, work=150.0, vol=3e8, n=2)]
@@ -252,3 +305,131 @@ class TestPeriodSearch:
         best = result.best_point
         if first.complete:
             assert best.system_efficiency >= first.system_efficiency - 1e-9
+
+
+class TestSweepContract:
+    """The Section 3.2.3 ladder and best-point selection across shapes."""
+
+    @staticmethod
+    def check(heuristic_cls, platform, apps, objective, epsilon, factor):
+        result = search_period(
+            heuristic_cls(), platform, apps, objective=objective,
+            epsilon=epsilon, max_period_factor=factor,
+        )
+        t_min = minimum_period(platform, apps)
+        periods = [p.period for p in result.sweep]
+        # T starts at max_k (w + time_io) and grows by (1 + eps) up to T_max.
+        assert periods[0] == t_min
+        assert periods[-1] == t_min * factor
+        for before, after in zip(periods, periods[1:]):
+            assert after == min(before * (1.0 + epsilon), t_min * factor)
+        # The best point is the first one with the highest score.
+        scores = [
+            _score(p.system_efficiency, p.dilation, p.complete, objective)
+            for p in result.sweep
+        ]
+        best = periods.index(result.best_period)
+        assert scores[best] == max(scores)
+        assert all(score < scores[best] for score in scores[:best])
+        # The returned schedule is exactly what a fresh build at that period
+        # produces, and its score is the recorded sweep point.
+        schedule = result.best_schedule
+        assert schedule.period == result.best_period
+        schedule.validate()
+        fresh = heuristic_cls().build(platform, apps, result.best_period)
+        assert _placements(schedule) == _placements(fresh)
+        summary = schedule.summary()
+        point = result.best_point
+        assert (summary.system_efficiency, summary.dilation) == (
+            point.system_efficiency, point.dilation,
+        )
+
+    @pytest.mark.parametrize("heuristic_cls", [InsertInScheduleThrou, InsertInScheduleCong])
+    @pytest.mark.parametrize("objective", ["system_efficiency", "dilation"])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.3])
+    def test_spec_apps(self, heuristic_cls, objective, epsilon):
+        _, (platform, apps) = _periodic_spec_setup()
+        self.check(heuristic_cls, platform, apps, objective, epsilon, 6.0)
+
+    @pytest.mark.parametrize("heuristic_cls", [InsertInScheduleThrou, InsertInScheduleCong])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_random_mixes(self, heuristic_cls, seed):
+        _, (platform, apps) = _periodic_spec_setup(mix_seed=seed)
+        self.check(heuristic_cls, platform, apps, "system_efficiency", 0.1, 8.0)
+
+
+class TestProfiles:
+    def test_profiles_match_direct_computation(self):
+        _, (platform, apps) = _periodic_spec_setup()
+        profiles = application_profiles(platform, apps)
+        for application in apps:
+            inst = application.instances[0]
+            peak = platform.peak_application_bandwidth(application.processors)
+            profile = profiles[application.name]
+            assert profile.work == inst.work
+            assert profile.io_volume == inst.io_volume
+            assert profile.time_io == inst.io_volume / peak
+            assert profile.footprint == inst.work + inst.io_volume / peak
+            assert profile.ratio == inst.work / profile.time_io
+
+    def test_zero_io_profile(self):
+        dry = Application.periodic(
+            name="dry", processors=10, work=50.0, io_volume=0.0, n_instances=2
+        )
+        profiles = application_profiles(PLATFORM, [dry])
+        assert profiles["dry"].time_io == 0.0
+        assert math.isinf(profiles["dry"].ratio)
+        assert profiles["dry"].footprint == 50.0
+
+
+# --------------------------------------------------------------------------
+# Golden sweeps: exact traces and placements of the naive (1 + eps) sweep.
+# --------------------------------------------------------------------------
+
+
+def _sweep_digest(result) -> str:
+    """sha256 over the exact sweep, best period and sorted best placements."""
+    sweep = [
+        (p.period, p.system_efficiency, p.dilation, p.complete) for p in result.sweep
+    ]
+    blob = repr((sweep, result.best_period, _placements(result.best_schedule)))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: (heuristic key, epsilon — ``None`` is the spec's, mix seed — ``None`` is
+#: the spec's explicit applications) -> digest of the naive sweep.  ε = 0.025
+#: is a 74-point sweep, the fine regime; the spec's ε = 0.1 sweeps 20 points.
+GOLDEN_SWEEPS = {
+    ("throughput", None, None):
+        "991d9fccef4db4eaf276659882506d74f1cff71be690ede1a93fd004ed676885",
+    ("congestion", None, None):
+        "48d9b78d81fcdeddf1e5696755c43f5dd5afa37ab782a161a6f7d02d64c3e6e5",
+    ("throughput", 0.025, None):
+        "9bfef862c950692ddb6ad09534432114d888f3c58a88150670b7b5884a963449",
+    ("congestion", 0.025, None):
+        "260001eaf406e42ee69dc6ad6d06e8fa0e39609b3bf7cb952c3dc2190d03060c",
+    ("throughput", None, 7):
+        "503120c00acc9d36950f8575f303b35c89f3e41f4452183b938af6a2ff3750cc",
+    ("congestion", None, 7):
+        "dd40949fb93393857530b81a18cbb7aa623f3264525202f74a5bc37a1efb7677",
+}
+
+
+def _golden_sweep(key: str, epsilon: float | None, mix_seed: int | None):
+    body, (platform, applications) = _periodic_spec_setup(mix_seed=mix_seed)
+    heuristic_cls, objective = PERIODIC_HEURISTIC_TABLE[key]
+    return search_period(
+        heuristic_cls(),
+        platform,
+        applications,
+        objective=objective,
+        epsilon=body.epsilon if epsilon is None else epsilon,
+        max_period=body.max_period,
+        max_period_factor=body.max_period_factor,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SWEEPS, key=repr), ids=repr)
+def test_golden_sweep(case):
+    """Pins every sweep point and the chosen placements bit for bit."""
+    assert _sweep_digest(_golden_sweep(*case)) == GOLDEN_SWEEPS[case]
